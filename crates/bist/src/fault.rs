@@ -19,11 +19,10 @@
 //!   shorter than [`MIN_PARALLEL_FAULTS`] run serially regardless of the
 //!   requested job count — thread spawn/join overhead dominates such lists.
 
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, NodeId, WideWord, PACKED_LANES, PACKED_WORDS};
 
 /// A single stuck-at fault: one netlist node permanently forced to a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StuckAtFault {
     /// The faulty node.
     pub node: NodeId,
@@ -68,7 +67,7 @@ pub fn fault_list(netlist: &Netlist) -> Vec<StuckAtFault> {
 }
 
 /// The result of simulating a pattern set against a fault list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSimReport {
     /// Total number of faults simulated.
     pub total_faults: usize,
@@ -287,8 +286,8 @@ pub fn effective_fault_jobs(fault_count: usize, jobs: usize) -> usize {
 /// across workers instead of clustering in one contiguous chunk.  Faults
 /// are independent of each other and undetected faults are merged back in
 /// fault-list order, so the report is byte-identical for any worker count.
-/// The worker count actually used is [`effective_fault_jobs`]`(faults.len(),
-/// jobs)`: short fault lists fall back to serial.
+/// The worker count actually used is `jobs` clamped to the available cores
+/// and to the fault count; fault lists shorter than 256 faults run serially.
 ///
 /// # Panics
 ///
@@ -631,23 +630,23 @@ mod tests {
         let wide = packed.wide_block(0);
         let masks = packed.wide_lane_masks(0);
         assert_eq!(wide.len(), 3);
-        for i in 0..3 {
-            for w in 0..PACKED_WORDS {
+        for (i, words) in wide.iter().enumerate() {
+            for (w, &word) in words.iter().enumerate() {
                 let expect = if w < packed.num_blocks() {
                     packed.block(w)[i]
                 } else {
                     0
                 };
-                assert_eq!(wide[i][w], expect, "input {i} word {w}");
+                assert_eq!(word, expect, "input {i} word {w}");
             }
         }
-        for w in 0..PACKED_WORDS {
+        for (w, &mask) in masks.iter().enumerate() {
             let expect = if w < packed.num_blocks() {
                 packed.lane_mask(w)
             } else {
                 0
             };
-            assert_eq!(masks[w], expect, "mask word {w}");
+            assert_eq!(mask, expect, "mask word {w}");
         }
         // 5 blocks → 2 superblocks.
         let packed = PackedPatterns::pack(2, &lfsr_patterns(2, 64 * 4 + 1, 3));

@@ -40,10 +40,6 @@ mod lfsr;
 mod misr;
 mod optimize;
 mod session;
-mod stage;
-
-#[allow(deprecated)]
-pub use stage::BistStage;
 
 pub use architecture::{
     evaluate_architectures, Architecture, ArchitectureOptions, ArchitectureReport,

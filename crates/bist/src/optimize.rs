@@ -44,7 +44,6 @@ use crate::coverage::{coverage_fraction, BlockCoverage, PlanCoverage};
 use crate::fault::{fault_list, simulate_faults_packed, PackedPatterns, StuckAtFault};
 use crate::lfsr::{reciprocal_taps, PRIMITIVE_TAPS};
 use crate::session::{session_patterns_from, session_source_width};
-use serde::{Deserialize, Serialize};
 use stc_logic::{Netlist, NodeId, PipelineLogic, PACKED_LANES};
 
 /// Tuning of one plan-optimization run.
@@ -72,7 +71,7 @@ impl Default for OptimizeOptions {
 }
 
 /// The optimized test of one session (one block under test).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionOptimization {
     /// Name of the block under test (`C1` or `C2`).
     pub block: String,
@@ -105,7 +104,7 @@ impl SessionOptimization {
 }
 
 /// The outcome of optimizing the complete two-session plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanOptimization {
     /// Session 1: `C1` under test.
     pub session1: SessionOptimization,

@@ -256,7 +256,7 @@ pub fn parse_with_options(text: &str, name: &str, opts: Kiss2Options) -> Result<
     builder.build()
 }
 
-/// Serializes a [`Mealy`] machine to KISS2 text.
+/// Writes a [`Mealy`] machine as KISS2 text.
 ///
 /// The machine's input symbols are written as binary vectors of
 /// `⌈log2 |I|⌉` bits and the output symbols as vectors of `⌈log2 |O|⌉` bits

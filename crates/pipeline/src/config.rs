@@ -182,20 +182,6 @@ pub struct StcConfig {
 }
 
 impl StcConfig {
-    /// Wraps a composed per-stage configuration with `jobs` workers and no
-    /// per-stage deadline — the bridge from the pre-session
-    /// [`PipelineConfig`] surface used by the deprecated shims and tests.
-    #[must_use]
-    pub fn from_pipeline(pipeline: PipelineConfig, jobs: usize) -> Self {
-        Self {
-            pipeline,
-            analysis: AnalysisSettings::default(),
-            emit: EmitSettings::default(),
-            jobs,
-            stage_deadline: None,
-        }
-    }
-
     /// Applies a profile text: TOML-style `[section]` headers, `key = value`
     /// lines, `#` comments and blank lines.  Section headers prefix the keys
     /// of the following lines (`[solver]` + `max_nodes = 1` ≡

@@ -37,7 +37,7 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "cannot read {}: {source}", path.display())
             }
             PipelineError::Kiss2 { path, source } => {
-                write!(f, "{}: KISS2 parse error: {source}", path.display())
+                write!(f, "{}: {source}", path.display())
             }
             PipelineError::Json { path, message } => {
                 write!(f, "{}: {message}", path.display())

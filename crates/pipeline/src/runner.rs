@@ -1,7 +1,6 @@
-//! The pre-session corpus-runner surface: the composed [`PipelineConfig`],
-//! the run outcome types, and the deprecated [`run_machine`] /
-//! [`run_corpus`] free functions, re-implemented as thin shims over the
-//! [`crate::Synthesis`] session API (byte-identical reports).
+//! The composed per-stage [`PipelineConfig`] and the outcome types of a
+//! corpus run ([`SuiteRun`], [`MachineTiming`]) that
+//! [`crate::Synthesis::run_suite`] returns.
 //!
 //! Determinism contract: a machine's report depends only on the machine and
 //! the [`PipelineConfig`] — never on the worker count, scheduling order or
@@ -12,10 +11,7 @@
 //! and a solver `time_limit` (also `None` by default): enabling either trades
 //! determinism for boundedness, which the CLI documents.
 
-use crate::config::StcConfig;
-use crate::corpus::CorpusEntry;
-use crate::report::{MachineReport, SuiteReport};
-use crate::session::Synthesis;
+use crate::report::SuiteReport;
 use stc_encoding::EncodingStrategy;
 use stc_logic::SynthOptions;
 use stc_synth::SolverConfig;
@@ -180,48 +176,31 @@ pub struct SuiteRun {
     pub timings: Vec<MachineTiming>,
 }
 
-/// Builds the session a shim delegates to: the caller's [`PipelineConfig`]
-/// wrapped in an [`StcConfig`] with an explicit worker count and no
-/// observer.
-fn shim_session(config: &PipelineConfig, jobs: usize) -> Synthesis {
-    Synthesis::builder()
-        .config(StcConfig::from_pipeline(*config, jobs.max(1)))
-        .build()
-}
-
-/// Drives one machine through solve → encode → logic → BIST.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Synthesis::builder()…build().run(entry)` — this shim wraps it"
-)]
-#[must_use]
-pub fn run_machine(entry: &CorpusEntry, config: &PipelineConfig) -> MachineReport {
-    shim_session(config, 1).run(entry)
-}
-
-/// Runs the whole corpus with `jobs` workers (`1` selects the serial
-/// fallback) and assembles the report in corpus order.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Synthesis::builder()…jobs(n).build().run_suite(entries, name)` — this shim \
-            wraps it"
-)]
-#[must_use]
-pub fn run_corpus(
-    entries: &[CorpusEntry],
-    config: &PipelineConfig,
-    jobs: usize,
-    suite_name: &str,
-) -> SuiteRun {
-    shim_session(config, jobs).run_suite(entries, suite_name)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the shims to the session's behaviour
 mod tests {
     use super::*;
-    use crate::corpus::{embedded_corpus, filter_by_names};
+    use crate::config::StcConfig;
+    use crate::corpus::{embedded_corpus, filter_by_names, CorpusEntry};
     use crate::report::MachineStatus;
+    use crate::session::Synthesis;
+
+    /// Runs `entries` through a session with the given per-stage
+    /// configuration and `jobs` workers.
+    fn run_suite(
+        entries: &[CorpusEntry],
+        config: &PipelineConfig,
+        jobs: usize,
+        suite_name: &str,
+    ) -> SuiteRun {
+        Synthesis::builder()
+            .config(StcConfig {
+                pipeline: *config,
+                ..StcConfig::default()
+            })
+            .jobs(jobs)
+            .build()
+            .run_suite(entries, suite_name)
+    }
 
     fn small_config() -> PipelineConfig {
         PipelineConfig {
@@ -249,7 +228,7 @@ mod tests {
 
     #[test]
     fn full_reports_for_small_machines() {
-        let run = run_corpus(&small_corpus(), &small_config(), 1, "test");
+        let run = run_suite(&small_corpus(), &small_config(), 1, "test");
         assert_eq!(run.report.machines.len(), 3);
         for m in &run.report.machines {
             assert_eq!(m.status, MachineStatus::Full, "{}", m.name);
@@ -275,7 +254,7 @@ mod tests {
             },
             ..small_config()
         };
-        let run = run_corpus(&corpus, &config, 1, "test");
+        let run = run_suite(&corpus, &config, 1, "test");
         assert_eq!(run.report.machines[0].status, MachineStatus::SolveOnly);
         assert!(run.report.machines[0].solve.is_some());
         assert!(run.report.machines[0].logic.is_none());
@@ -288,7 +267,7 @@ mod tests {
             machine_timeout: Some(Duration::ZERO),
             ..small_config()
         };
-        let run = run_corpus(&corpus, &config, 1, "test");
+        let run = run_suite(&corpus, &config, 1, "test");
         assert!(run
             .report
             .machines
@@ -302,9 +281,9 @@ mod tests {
     fn parallel_run_equals_serial_run() {
         let corpus = small_corpus();
         let config = small_config();
-        let serial = run_corpus(&corpus, &config, 1, "test");
+        let serial = run_suite(&corpus, &config, 1, "test");
         for jobs in [2, 3, 8] {
-            let parallel = run_corpus(&corpus, &config, jobs, "test");
+            let parallel = run_suite(&corpus, &config, jobs, "test");
             assert_eq!(serial.report, parallel.report, "jobs = {jobs}");
             assert_eq!(
                 serial.report.to_json_string(),

@@ -433,7 +433,7 @@ fn resolve_machine(request: &Json, corpus: &[CorpusEntry]) -> Result<CorpusEntry
             };
             stc_fsm::kiss2::parse(text, &name)
                 .map(CorpusEntry::external)
-                .map_err(|e| format!("KISS2 parse error: {e}"))
+                .map_err(|e| e.to_string())
         }
         (None, Some(_)) => Err("'kiss2' must be a string".into()),
         (None, None) => Err("request needs 'machine', 'kiss2', 'ping' or 'stats'".into()),
@@ -636,10 +636,11 @@ mod tests {
         let input = "not json\n\
                      {\"id\": \"a\", \"machine\": \"nope\"}\n\
                      {\"id\": 2, \"overrides\": {\"bad.key\": 1}, \"machine\": \"tav\"}\n\
-                     {\"id\": 3, \"ping\": true}\n";
+                     {\"id\": 3, \"ping\": true}\n\
+                     {\"id\": 4, \"kiss2\": \".i 1\\n.o 1\\n.s 1\\n.e\\n\"}\n";
         let (responses, stats) = serve_lines(input, 1);
-        assert_eq!(stats.requests, 4);
-        assert_eq!(stats.errors, 3);
+        assert_eq!(stats.requests, 5);
+        assert_eq!(stats.errors, 4);
         assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
         let unknown = responses[1].get("error").unwrap().as_str().unwrap();
         assert!(
@@ -649,6 +650,11 @@ mod tests {
         let bad_key = responses[2].get("error").unwrap().as_str().unwrap();
         assert!(bad_key.contains("bad.key"), "{bad_key}");
         assert_eq!(responses[3].get("pong"), Some(&Json::Bool(true)));
+        // The parser's own message carries the one "KISS2 parse error" prefix.
+        assert_eq!(
+            responses[4].get("error").unwrap().as_str(),
+            Some("KISS2 parse error: no transitions")
+        );
     }
 
     #[test]

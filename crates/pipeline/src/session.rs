@@ -16,9 +16,7 @@
 //! ([`Synthesis::encode`], [`Synthesis::synthesize_logic`],
 //! [`Synthesis::plan_bist`] each pick up where the artifact left off).
 //! [`Synthesis::run`] and [`Synthesis::run_suite`] assemble the classic
-//! [`MachineReport`] / [`crate::SuiteReport`] from the same artifacts — the
-//! deprecated [`crate::run_machine`] / [`crate::run_corpus`] free functions
-//! are thin shims over them and produce byte-identical JSON.
+//! [`MachineReport`] / [`crate::SuiteReport`] from the same artifacts.
 //!
 //! An [`Observer`] attached at build time receives stage and solver events
 //! and can request cooperative cancellation; events are side-channel only
@@ -1068,8 +1066,7 @@ impl Synthesis {
     // -- full flows --------------------------------------------------------
 
     /// Drives one corpus entry through the full flow and assembles its
-    /// [`MachineReport`] — byte-identical to the reports of the deprecated
-    /// [`crate::run_machine`] for observer-free sessions.
+    /// [`MachineReport`].
     #[must_use]
     pub fn run(&self, entry: &CorpusEntry) -> MachineReport {
         let config = &self.config.pipeline;

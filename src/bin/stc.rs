@@ -42,9 +42,9 @@ use stc::analyze::Severity;
 use stc::pipeline::{
     compare_benchmarks, coverage_json, embedded_corpus, emit_json, filter_by_names,
     format_speedup_table, format_summary_table, kiss2_corpus, lint_json, load_baseline_dir,
-    optimize_json, parse_baseline,
-    search_stats_json, serve_with, BenchMeasurement, CacheLimits, CorpusEntry, Event, NetOptions,
-    NetServer, Observer, PipelineError, ServeOptions, StcConfig, SuiteRun, Synthesis,
+    optimize_json, parse_baseline, search_stats_json, serve_with, BenchMeasurement, CacheLimits,
+    CorpusEntry, Event, NetOptions, NetServer, Observer, PipelineError, ServeOptions, StcConfig,
+    SuiteRun, Synthesis,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -250,18 +250,12 @@ pub use stc_pipeline::{
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use stc_analyze::{analyze_block, lint_kiss2, lint_machine, Diagnostic, Scoap, Severity};
-    #[allow(deprecated)]
-    pub use stc_bist::BistStage;
     pub use stc_bist::{
         evaluate_architectures, pipeline_self_test, Architecture, ArchitectureOptions, Bilbo,
         BilboMode, Lfsr, Misr,
     };
-    #[allow(deprecated)]
-    pub use stc_encoding::EncodeStage;
     pub use stc_encoding::{EncodedMachine, EncodedPipeline, Encoding, EncodingStrategy};
     pub use stc_fsm::{kiss2, state_equivalence, Mealy, MealyBuilder};
-    #[allow(deprecated)]
-    pub use stc_logic::LogicStage;
     pub use stc_logic::{synthesize_controller, synthesize_pipeline, Netlist, SynthOptions};
     pub use stc_partition::{is_symmetric_pair, Partition};
     pub use stc_pipeline::{
@@ -269,9 +263,5 @@ pub mod prelude {
         OptimizedPlan, PipelineConfig, StcConfig, SuiteReport, SuiteRun, Synthesis,
         SynthesisBuilder,
     };
-    #[allow(deprecated)]
-    pub use stc_pipeline::{run_corpus, Stage};
-    #[allow(deprecated)]
-    pub use stc_synth::SolveStage;
     pub use stc_synth::{solve, Cost, OstrSolver, PreparedOstr, Realization, SolverConfig};
 }

@@ -29,16 +29,15 @@ fn test_config() -> PipelineConfig {
     }
 }
 
-/// The session-API equivalent of the old `run_corpus(corpus, config, jobs,
-/// name)` call shape the tests below exercise.
-fn run_corpus(
-    corpus: &[CorpusEntry],
-    config: &PipelineConfig,
-    jobs: usize,
-    name: &str,
-) -> SuiteRun {
+/// Runs `corpus` through a session with the given per-stage configuration
+/// and `jobs` workers.
+fn run_suite(corpus: &[CorpusEntry], config: &PipelineConfig, jobs: usize, name: &str) -> SuiteRun {
     Synthesis::builder()
-        .config(StcConfig::from_pipeline(*config, jobs))
+        .config(StcConfig {
+            pipeline: *config,
+            jobs,
+            ..StcConfig::default()
+        })
         .build()
         .run_suite(corpus, name)
 }
@@ -47,10 +46,10 @@ fn run_corpus(
 fn parallel_report_is_byte_identical_to_the_serial_fallback() {
     let corpus = embedded_corpus();
     let config = test_config();
-    let serial = run_corpus(&corpus, &config, 1, "embedded");
+    let serial = run_suite(&corpus, &config, 1, "embedded");
     let serial_json = serial.report.to_json_string();
     for jobs in [2, 4, 13, 32] {
-        let parallel = run_corpus(&corpus, &config, jobs, "embedded");
+        let parallel = run_suite(&corpus, &config, jobs, "embedded");
         assert_eq!(serial.report, parallel.report, "jobs = {jobs}");
         assert_eq!(
             serial_json,
@@ -72,8 +71,8 @@ fn report_is_deterministic_across_repeated_runs() {
     )
     .unwrap();
     let config = test_config();
-    let first = run_corpus(&corpus, &config, 2, "subset");
-    let second = run_corpus(&corpus, &config, 2, "subset");
+    let first = run_suite(&corpus, &config, 2, "subset");
+    let second = run_suite(&corpus, &config, 2, "subset");
     assert_eq!(
         first.report.to_json_string(),
         second.report.to_json_string()
@@ -91,11 +90,11 @@ fn report_is_independent_of_solver_parallelism() {
     )
     .unwrap();
     let config = test_config();
-    let serial = run_corpus(&corpus, &config, 1, "subset");
+    let serial = run_suite(&corpus, &config, 1, "subset");
     for solver_jobs in [2, 4, 16] {
         let mut parallel_config = test_config();
         parallel_config.solver.parallel_subtrees = solver_jobs;
-        let parallel = run_corpus(&corpus, &parallel_config, 1, "subset");
+        let parallel = run_suite(&corpus, &parallel_config, 1, "subset");
         assert_eq!(
             serial.report.to_json_string(),
             parallel.report.to_json_string(),
@@ -125,10 +124,10 @@ proptest::proptest! {
         let slice = &small[start..end];
         let config = test_config();
 
-        let parallel = run_corpus(slice, &config, jobs, "slice");
+        let parallel = run_suite(slice, &config, jobs, "slice");
         proptest::prop_assert_eq!(parallel.report.machines.len(), slice.len());
         for (entry, from_parallel) in slice.iter().zip(&parallel.report.machines) {
-            let alone = run_corpus(std::slice::from_ref(entry), &config, 1, "slice");
+            let alone = run_suite(std::slice::from_ref(entry), &config, 1, "slice");
             proptest::prop_assert_eq!(
                 &alone.report.machines[0],
                 from_parallel,

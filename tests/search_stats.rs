@@ -35,7 +35,11 @@ fn embedded_search_stats_match_the_committed_golden() {
         "the gate must measure the default solver configuration"
     );
     let run = Synthesis::builder()
-        .config(StcConfig::from_pipeline(config, 2))
+        .config(StcConfig {
+            pipeline: config,
+            jobs: 2,
+            ..StcConfig::default()
+        })
         .build()
         .run_suite(&embedded_corpus(), "embedded");
     let fresh = search_stats_json(&run.report).to_pretty();

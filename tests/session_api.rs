@@ -1,6 +1,5 @@
 //! Integration tests of the `Synthesis` session API: typed partial flows,
-//! cooperative cancellation, event ordering, and byte-identity of the
-//! deprecated shims.
+//! cooperative cancellation and event ordering.
 
 use stc::pipeline::{embedded_corpus, filter_by_names, MachineStatus};
 use stc::prelude::*;
@@ -291,26 +290,6 @@ fn observers_never_change_the_report() {
     assert_eq!(
         bare.report.to_json_string(),
         observed.report.to_json_string()
-    );
-}
-
-/// The deprecated free functions are thin shims over the session: their
-/// reports must be byte-identical.
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_shims_are_byte_identical_to_the_session() {
-    let corpus =
-        filter_by_names(embedded_corpus(), &["tav".to_string(), "dk27".to_string()]).unwrap();
-    let config = PipelineConfig::default();
-    let shim = run_corpus(&corpus, &config, 2, "shim");
-    let session = Synthesis::builder()
-        .config(StcConfig::from_pipeline(config, 2))
-        .build()
-        .run_suite(&corpus, "shim");
-    assert_eq!(shim.report, session.report);
-    assert_eq!(
-        shim.report.to_json_string(),
-        session.report.to_json_string()
     );
 }
 
